@@ -39,7 +39,9 @@ from repro.system.runner import run_benchmark
 #: key's material — changed shape).
 #: 3: FaultPlan grew a ``timeline`` field and fail-slow link events
 #: (plan repr changed shape; serialisation accounting changed).
-CACHE_SCHEMA = 3
+#: 4: MSHR-stalled misses wait in a FIFO of per-VPN groups admitted
+#: without a re-probe (stall-bound results changed).
+CACHE_SCHEMA = 4
 
 #: run_benchmark kwargs value types a job may carry across processes.
 _SIMPLE = (int, float, str, bool, type(None))

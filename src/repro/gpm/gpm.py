@@ -38,14 +38,13 @@ class PendingTranslation:
     """One outstanding translation miss, with merged waiters (MSHR entry)."""
 
     __slots__ = (
-        "vpn", "waiters", "created_at", "remote_start", "walking", "trace_id",
+        "vpn", "waiters", "remote_start", "walking", "trace_id",
         "attempts", "epoch",
     )
 
-    def __init__(self, vpn: int, created_at: int) -> None:
+    def __init__(self, vpn: int, waiters: List[int]) -> None:
         self.vpn = vpn
-        self.waiters: List[int] = []
-        self.created_at = created_at
+        self.waiters = waiters
         self.remote_start: Optional[int] = None
         self.walking = False
         #: Tracing span id (the TranslationRequest id) once the miss goes
@@ -134,7 +133,10 @@ class GPM(Component):
         # Outstanding translation misses (bounded by the L2 TLB MSHRs).
         self._pending: Dict[int, PendingTranslation] = {}
         self._mshr_capacity = config.l2_tlb.num_mshrs
-        self._stalled: List[int] = []
+        #: Misses that found every MSHR busy, one group per VPN in order
+        #: of first stall: ``vpn -> (needs_walk, waiting vaddrs)``.  A
+        #: freed MSHR admits the oldest group as-is, without a re-probe.
+        self._stalled: Dict[int, Tuple[bool, List[int]]] = {}
         # Results
         self.finish_time: Optional[int] = None
         self.served_by_counts: Dict[ServedBy, int] = {}
@@ -232,12 +234,20 @@ class GPM(Component):
             pending.waiters.append(vaddr)
             self.bump("merged_misses")
             return
+        stalled = self._stalled.get(vpn)
+        if stalled is not None:
+            stalled[1].append(vaddr)
+            self.bump("merged_misses")
+            return
         if len(self._pending) >= self._mshr_capacity:
-            self._stalled.append(vaddr)
+            self._stalled[vpn] = (needs_walk, [vaddr])
             self.bump("mshr_stalls")
             return
-        pending = PendingTranslation(vpn, self.sim.now)
-        pending.waiters.append(vaddr)
+        self._admit(vpn, [vaddr], needs_walk)
+
+    def _admit(self, vpn: int, waiters: List[int], needs_walk: bool) -> None:
+        """Allocate an MSHR for ``vpn`` and start resolving it."""
+        pending = PendingTranslation(vpn, waiters)
         self._pending[vpn] = pending
         if self._tracer is not None:
             self._tracer.instant(
@@ -319,7 +329,6 @@ class GPM(Component):
         pending = self._pending.pop(vpn, None)
         if pending is None:
             return  # late duplicate (second probe response, stale redirect)
-        self._count(served_by)
         if pending.remote_start is not None:
             rtt = self.sim.now - pending.remote_start
             self.rtt_sum += rtt
@@ -332,15 +341,21 @@ class GPM(Component):
                 track=self.name, span_id=pending.trace_id,
                 args={"served_by": served_by.value, "vpn": vpn},
             )
-        self.hierarchy.fill_from_translation(vpn, entry)
-        for vaddr in pending.waiters:
-            self._data_phase(vaddr, entry)
-        self._drain_stalled()
+        self._resolve(vpn, pending.waiters, entry, served_by)
+        if self._stalled:
+            # The freed MSHR goes to the oldest stalled group.
+            stalled_vpn = next(iter(self._stalled))
+            needs_walk, waiters = self._stalled.pop(stalled_vpn)
+            self._admit(stalled_vpn, waiters, needs_walk)
 
-    def _drain_stalled(self) -> None:
-        while self._stalled and len(self._pending) < self._mshr_capacity:
-            vaddr = self._stalled.pop()
-            self._begin_access(vaddr)
+    def _resolve(
+        self, vpn: int, waiters: List[int], entry: PageTableEntry,
+        served_by: ServedBy,
+    ) -> None:
+        self._count(served_by)
+        self.hierarchy.fill_from_translation(vpn, entry)
+        for vaddr in waiters:
+            self._data_phase(vaddr, entry)
 
     # ------------------------------------------------------------------
     # Remote-translation completion entry points
@@ -355,15 +370,22 @@ class GPM(Component):
         """Install a pushed PTE (auxiliary caching / proactive delivery).
 
         If a request for this page is currently waiting on the remote path,
-        the push satisfies it immediately — the "catch up to recently
-        completed translations" effect redirection is built around.
+        or stalled for an MSHR, the push satisfies it immediately — the
+        "catch up to recently completed translations" effect redirection
+        is built around.
         """
         self.hierarchy.install_cached_remote(entry)
         self.bump("pte_pushes_received")
-        pending = self._pending.get(entry.vpn)
-        if pending is not None and pending.remote_start is not None:
-            served = ServedBy.PROACTIVE if entry.prefetched else ServedBy.PEER
-            self._translation_done(entry.vpn, entry, served)
+        vpn = entry.vpn
+        served = ServedBy.PROACTIVE if entry.prefetched else ServedBy.PEER
+        pending = self._pending.get(vpn)
+        if pending is not None:
+            if pending.remote_start is not None:
+                self._translation_done(vpn, entry, served)
+            return
+        stalled = self._stalled.pop(vpn, None)
+        if stalled is not None:
+            self._resolve(vpn, stalled[1], entry, served)
 
     # ------------------------------------------------------------------
     # Auxiliary role: answer peer probes

@@ -248,5 +248,4 @@ def _build_tlb(name: str, config) -> SetAssociativeTLB:
         num_sets=config.num_sets,
         num_ways=config.num_ways,
         latency=config.latency,
-        num_mshrs=config.num_mshrs,
     )

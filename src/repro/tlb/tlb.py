@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.tlb.mshr import MSHRFile
-
 
 class SetAssociativeTLB:
     """A ``num_sets x num_ways`` TLB with per-set LRU.
@@ -26,7 +24,6 @@ class SetAssociativeTLB:
         "num_sets",
         "num_ways",
         "latency",
-        "mshrs",
         "_sets",
         "hits",
         "misses",
@@ -39,7 +36,6 @@ class SetAssociativeTLB:
         num_sets: int,
         num_ways: int,
         latency: int = 1,
-        num_mshrs: int = 0,
     ) -> None:
         if num_sets <= 0 or num_ways <= 0:
             raise ValueError(
@@ -49,7 +45,6 @@ class SetAssociativeTLB:
         self.num_sets = num_sets
         self.num_ways = num_ways
         self.latency = latency
-        self.mshrs = MSHRFile(name + ".mshr", num_mshrs) if num_mshrs else None
         self._sets: List[Dict[int, Any]] = [{} for _ in range(num_sets)]
         self.hits = 0
         self.misses = 0

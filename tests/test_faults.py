@@ -257,9 +257,17 @@ class TestEndToEnd:
         with pytest.raises(TranslationTimeoutError):
             run_benchmark(config, "spmv", scale=SCALE, seed=3)
 
-    def test_sanitize_stays_green_under_drops(self):
+    @pytest.mark.parametrize("plan_seed", range(1, 7))
+    def test_sanitize_stays_green_under_drops(self, plan_seed):
+        # Retry budget, not seed luck: on this run about 22% of remote
+        # attempts are lost (~490 drops, each a timeout, over ~2,250
+        # IOMMU requests, so ~1,760 translations).  With the default
+        # max_retries=4 a translation exhausts with p = 0.22**5 ~ 5e-4,
+        # ~0.9 expected exhaustions per run, so most plan seeds raise.
+        # With max_retries=10, p = 0.22**11 ~ 6e-8: ~1e-4 per run.
+        # Exhaustion itself is test_total_drop_raises_typed_timeout's job.
         config = wafer_7x7_config().with_faults(
-            FaultPlan(seed=1, drop_prob=0.1)
+            FaultPlan(seed=plan_seed, drop_prob=0.1, max_retries=10)
         )
         result = run_benchmark(
             config, "spmv", scale=SCALE, seed=3, sanitize=True

@@ -114,6 +114,137 @@ class TestRemoteTranslation:
         assert gpm.mean_rtt() >= wafer.config.iommu.walk_latency
 
 
+class TestMSHRStallQueue:
+    """A saturated L2 TLB MSHR file: stalled misses wait in a FIFO of
+    per-VPN groups and are admitted once each, without a re-probe."""
+
+    EXTRA = 4  # distinct VPNs beyond the MSHR count: these stall
+
+    @pytest.fixture
+    def saturated(self, wafer, tiny_gpm_config):
+        """GPM 0 with a trace that oversubscribes its MSHRs.
+
+        Every VPN is remote and filter-negative on GPM 0, so each one is
+        a straight remote translation.  The trace is one access per
+        distinct VPN, then repeats of the last two (which stall), all
+        issued in the same cycle.  Returns ``(gpm, trace, vpns, log)``
+        where ``log`` records stall order and remote-translation order.
+        """
+        allocation = _install_pages(wafer, num_pages=256)
+        gpm = wafer.gpms[0]
+        mshrs = tiny_gpm_config.l2_tlb.num_mshrs
+        vpns = [
+            v for v, owner in allocation.owner_of.items()
+            if owner != 0 and not gpm.hierarchy.cuckoo.contains(v)
+        ][: mshrs + self.EXTRA]
+        repeats = vpns[-2:] * 2
+        trace = [_addr(wafer, v) for v in vpns]
+        trace += [_addr(wafer, v, 64) for v in repeats]
+        assert len(trace) <= gpm.driver.max_outstanding
+        log = {"stalled": [], "remote": []}
+        miss, go_remote = gpm._translation_miss, gpm._go_remote
+
+        def recording_miss(vaddr, vpn, needs_walk, epoch):
+            was_stalled = vpn in gpm._stalled
+            miss(vaddr, vpn, needs_walk, epoch)
+            if not was_stalled and vpn in gpm._stalled:
+                log["stalled"].append(vpn)
+
+        def recording_go_remote(pending):
+            log["remote"].append(pending.vpn)
+            go_remote(pending)
+
+        gpm._translation_miss = recording_miss
+        gpm._go_remote = recording_go_remote
+        gpm.load_trace(trace, burst=64)
+        return gpm, trace, vpns, log
+
+    @staticmethod
+    def _l1_probes(gpm):
+        l1 = gpm.hierarchy.l1_vector
+        return l1.hits + l1.misses
+
+    def test_each_access_probed_once_and_stalled_at_most_once(
+        self, wafer, saturated
+    ):
+        gpm, trace, vpns, log = saturated
+        gpm.start()
+        wafer.sim.run()
+        assert gpm.stat("accesses_completed") == len(trace)
+        assert self._l1_probes(gpm) == len(trace)
+        # One stall per stalled VPN: a repeat joins the group instead.
+        assert log["stalled"] == vpns[-self.EXTRA:]
+        assert gpm.stat("mshr_stalls") == self.EXTRA
+        assert gpm.stat("merged_misses") == len(trace) - len(vpns)
+        assert not gpm._stalled and not gpm._pending
+
+    def test_fifo_admission_oldest_stall_goes_remote_first(
+        self, wafer, saturated
+    ):
+        gpm, _trace, vpns, log = saturated
+        gpm.start()
+        wafer.sim.run()
+        assert log["remote"] == vpns
+
+    def test_repeats_of_a_stalled_vpn_cause_one_translation(
+        self, wafer, saturated
+    ):
+        gpm, trace, vpns, log = saturated
+        gpm.start()
+        wafer.sim.run()
+        assert sorted(log["remote"]) == sorted(vpns)
+        assert gpm.stat("remote_translations") == len(vpns)
+        assert wafer.iommu.stat("requests") == len(vpns)
+        assert gpm.served_by_counts.get(ServedBy.IOMMU) == len(vpns)
+
+    def test_push_for_stalled_vpn_completes_group_without_remote(
+        self, wafer, saturated
+    ):
+        gpm, trace, vpns, log = saturated
+        target = vpns[-1]  # stalled, with two repeats in its group
+        entry = wafer.iommu.page_table.walk(target)
+
+        def push_once_stalled():
+            if target in gpm._stalled:
+                gpm.accept_pte_push(entry.copy_for_push(True))
+            elif not gpm.driver.drained:
+                wafer.sim.schedule(1, push_once_stalled)
+
+        gpm.start()
+        wafer.sim.schedule(1, push_once_stalled)
+        wafer.sim.run()
+        assert target in log["stalled"]
+        assert target not in log["remote"]
+        assert gpm.served_by_counts.get(ServedBy.PROACTIVE) == 1
+        assert wafer.iommu.stat("requests") == len(vpns) - 1
+        assert gpm.stat("accesses_completed") == len(trace)
+        assert self._l1_probes(gpm) == len(trace)
+
+    def test_halt_with_stalled_groups_then_resume(self, wafer, saturated):
+        gpm, trace, _vpns, _log = saturated
+        resumed = []
+
+        def halt_once_stalled():
+            if gpm._stalled:
+                gpm.halt()
+                assert not gpm._stalled and not gpm._pending
+                wafer.sim.schedule(2000, lambda: resumed.append(True))
+                wafer.sim.schedule(2000, gpm.resume)
+            elif not gpm.driver.drained:
+                wafer.sim.schedule(1, halt_once_stalled)
+
+        gpm.start()
+        wafer.sim.schedule(1, halt_once_stalled)
+        wafer.sim.run()
+        assert resumed
+        assert gpm.stat("halt_abandoned_accesses") == len(trace)
+        # Every access completes exactly once after the re-issue.
+        assert gpm.stat("accesses_completed") == len(trace)
+        assert gpm.driver.drained and gpm.finish_time is not None
+        assert self._l1_probes(gpm) == 2 * len(trace)
+        assert not gpm._stalled and not gpm._pending
+
+
 class TestPtePush:
     def test_push_satisfies_waiting_request(self, wafer):
         _install_pages(wafer)

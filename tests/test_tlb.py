@@ -80,11 +80,6 @@ class TestTLBBasics:
         with pytest.raises(ValueError):
             SetAssociativeTLB("t", 0, 4)
 
-    def test_mshr_created_when_requested(self):
-        tlb = SetAssociativeTLB("t", 2, 2, num_mshrs=4)
-        assert tlb.mshrs is not None
-        assert SetAssociativeTLB("t", 2, 2).mshrs is None
-
 
 class TestTLBProperties:
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=300))
