@@ -288,7 +288,6 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ("MigrationEngine", "migration_stats"): _LAZY_INIT,
     ("RecoveryManager", "_migration"): _LAZY_INIT,
     # -- scripted fault-timeline application ---------------------------
-    ("FaultState", "_routes_epoch"): _TIMELINE,
     ("FaultState", "topology_epoch"): _TIMELINE,
     ("FaultState", "live_gpm_ids"): _TIMELINE,
     ("Link", "_bandwidth_factor"): _TIMELINE,

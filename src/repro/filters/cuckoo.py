@@ -11,21 +11,40 @@ width; deletion is exact for inserted items.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import CapacityError
-from repro.filters.fingerprint import fingerprint_of, mix64
+from repro.filters.fingerprint import mix64
 
 _DEFAULT_MAX_KICKS = 500
 
-# splitmix64 constants, duplicated from repro.filters.fingerprint so the
-# hot ``contains`` probe can inline both mixes (bit-identical results —
-# tests/test_filters.py cross-checks against the helper functions).
+# splitmix64 constants, duplicated from repro.filters.fingerprint so
+# ``_hash_triple`` can inline all three mixes (bit-identical results —
+# tests/test_filters_cuckoo.py cross-checks against the helper functions).
 _MASK64 = (1 << 64) - 1
 _FP_SEED = 0xC2B2AE3D27D4EB4F
 _IDX_SEED = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+
+
+def _hash_triple(item: int, fp_mask: int, index_mask: int) -> Tuple[int, int, int]:
+    """``(fingerprint, index1, index2)`` of ``item``, the three splitmix64
+    mixes inlined: bit-identical to :func:`fingerprint_of`,
+    :meth:`CuckooFilter._index1` and :meth:`CuckooFilter._alt_index`, at
+    one call instead of six."""
+    z = (item + _FP_SEED) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    fingerprint = ((z ^ (z >> 31)) & fp_mask) or 1
+    z = (item + _IDX_SEED) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    index1 = (z ^ (z >> 31)) & index_mask
+    z = (fingerprint + _IDX_SEED) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    return fingerprint, index1, (index1 ^ z ^ (z >> 31)) & index_mask
 
 
 class CuckooFilter:
@@ -70,6 +89,10 @@ class CuckooFilter:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if slots_per_bucket <= 0:
             raise ValueError(f"slots_per_bucket must be positive, got {slots_per_bucket}")
+        if not 1 <= fingerprint_bits <= 32:
+            raise ValueError(
+                f"fingerprint_bits must be in [1,32], got {fingerprint_bits}"
+            )
         buckets_needed = max(1, -(-capacity // slots_per_bucket))
         self.num_buckets = 1 << (buckets_needed - 1).bit_length()
         self.fingerprint_bits = fingerprint_bits
@@ -109,10 +132,9 @@ class CuckooFilter:
         """
         cached = self._hash_cache.get(item)
         if cached is None:
-            fingerprint = fingerprint_of(item, self.fingerprint_bits)
-            index1 = self._index1(item)
-            index2 = self._alt_index(index1, fingerprint)
-            cached = self._hash_cache[item] = (fingerprint, index1, index2)
+            cached = self._hash_cache[item] = _hash_triple(
+                item, self._fp_mask, self._index_mask
+            )
         return cached
 
     def _bucket(self, index: int) -> List[int]:
@@ -153,33 +175,54 @@ class CuckooFilter:
         self.insert_failures += 1
         return False
 
+    def insert_many(self, items: Iterable[int]) -> None:
+        """Insert every item in order, exactly as repeated :meth:`insert`.
+
+        Bulk page installation calls this once per GPM.  Hashes are
+        computed without filling the memo (an installed page is probed
+        later, if ever), and an item whose two buckets are both full
+        falls back to :meth:`insert` for the kick-out walk, so buckets,
+        ``size``, ``insert_failures`` and the kick-out random stream
+        match the one-at-a-time sequence.
+        """
+        buckets = self._buckets
+        slots = self.slots_per_bucket
+        fp_mask = self._fp_mask
+        index_mask = self._index_mask
+        inserted = 0
+        for item in items:
+            fingerprint, index1, index2 = _hash_triple(item, fp_mask, index_mask)
+            bucket = buckets.get(index1)
+            if bucket is None:
+                buckets[index1] = [fingerprint]
+            elif len(bucket) < slots:
+                bucket.append(fingerprint)
+            else:
+                bucket = buckets.get(index2)
+                if bucket is None:
+                    buckets[index2] = [fingerprint]
+                elif len(bucket) < slots:
+                    bucket.append(fingerprint)
+                else:
+                    self.insert(item)
+                    continue
+            inserted += 1
+        self.size += inserted
+
     def contains(self, item: int) -> bool:
         """Approximate membership: no false negatives, rare false positives.
 
-        The splitmix64 mixes are inlined — this is the hottest probe in
-        the translation path (one call per L2 TLB miss) and the inline
-        arithmetic is bit-identical to :func:`fingerprint_of` /
-        :meth:`_index1` / :meth:`_alt_index`.
+        The memo lookup is inlined rather than going through
+        :meth:`_hash_parts` — this is the hottest probe in the translation
+        path (one call per L2 TLB miss).
         """
         self.lookups += 1
         cached = self._hash_cache.get(item)
         if cached is None:
-            z = (item + _FP_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            fingerprint = ((z ^ (z >> 31)) & self._fp_mask) or 1
-            z = (item + _IDX_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            index_mask = self._index_mask
-            index1 = (z ^ (z >> 31)) & index_mask
-            z = (fingerprint + _IDX_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            index2 = (index1 ^ z ^ (z >> 31)) & index_mask
-            self._hash_cache[item] = (fingerprint, index1, index2)
-        else:
-            fingerprint, index1, index2 = cached
+            cached = self._hash_cache[item] = _hash_triple(
+                item, self._fp_mask, self._index_mask
+            )
+        fingerprint, index1, index2 = cached
         buckets = self._buckets
         bucket = buckets.get(index1)
         if bucket is not None and fingerprint in bucket:

@@ -72,12 +72,14 @@ class PageAllocator:
     # ------------------------------------------------------------------
     def materialize(self, allocation: Allocation) -> List[PageTableEntry]:
         """Create PTEs for an allocation, assigning frames per owning GPM."""
+        owner_of = allocation.owner_of
+        next_pfn = self._next_pfn
         entries = []
         for vpn in allocation.vpns():
-            owner = allocation.owner_of[vpn]
-            pfn = self._next_pfn[owner]
-            self._next_pfn[owner] += 1
-            entries.append(PageTableEntry(vpn=vpn, pfn=pfn, owner_gpm=owner))
+            owner = owner_of[vpn]
+            pfn = next_pfn[owner]
+            next_pfn[owner] = pfn + 1
+            entries.append(PageTableEntry(vpn, pfn, owner))
         return entries
 
     def owner_of(self, vpn: int) -> int:

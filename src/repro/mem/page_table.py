@@ -44,6 +44,19 @@ class _PageTableBase:
             raise AddressError(f"{self.name}: VPN {entry.vpn:#x} already mapped")
         self._entries[entry.vpn] = entry
 
+    def insert_many(self, entries: List[PageTableEntry]) -> None:
+        """Insert a batch of entries, all or nothing: a VPN already mapped
+        (or repeated in the batch) raises with none of the batch inserted."""
+        table = self._entries
+        for count, entry in enumerate(entries):
+            if entry.vpn in table:
+                for inserted in entries[:count]:
+                    del table[inserted.vpn]
+                raise AddressError(
+                    f"{self.name}: VPN {entry.vpn:#x} already mapped"
+                )
+            table[entry.vpn] = entry
+
     def remove(self, vpn: int) -> PageTableEntry:
         try:
             return self._entries.pop(vpn)
@@ -96,13 +109,23 @@ class LocalPageTable(_PageTableBase):
         super().__init__(f"gpm{gpm_id}.page_table")
         self.gpm_id = gpm_id
 
+    def _wrong_owner(self, entry: PageTableEntry) -> AddressError:
+        return AddressError(
+            f"{self.name}: entry owned by GPM {entry.owner_gpm}, "
+            f"local table belongs to GPM {self.gpm_id}"
+        )
+
     def insert(self, entry: PageTableEntry) -> None:
         if entry.owner_gpm != self.gpm_id:
-            raise AddressError(
-                f"{self.name}: entry owned by GPM {entry.owner_gpm}, "
-                f"local table belongs to GPM {self.gpm_id}"
-            )
+            raise self._wrong_owner(entry)
         super().insert(entry)
+
+    def insert_many(self, entries: List[PageTableEntry]) -> None:
+        gpm_id = self.gpm_id
+        for entry in entries:
+            if entry.owner_gpm != gpm_id:
+                raise self._wrong_owner(entry)
+        super().insert_many(entries)
 
 
 class GlobalPageTable(_PageTableBase):

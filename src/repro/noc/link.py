@@ -54,7 +54,8 @@ class Link:
         self._bandwidth_factor = 1.0
         #: Serialisation charged for the most recent transmit, so the
         #: conservation sanitizer can shadow busy_cycles exactly even
-        #: when the factor changes between messages.
+        #: when the factor changes between messages.  Only ``transmit``
+        #: writes it: the network's inlined hop loop runs unsanitized.
         self.last_serialization = 0
         #: size_bytes -> serialisation cycles at the *current* bandwidth
         #: factor.  Message sizes come from a small fixed table, so this
@@ -75,8 +76,9 @@ class Link:
         """Account one message; returns its delivery time at ``dst``.
 
         The serialisation math inlines :func:`repro.units.serialization_cycles`
-        (bit-identical — tests cross-check): this is the hottest leaf of
-        ``noc.send`` and the call overhead was measurable.
+        (bit-identical — tests cross-check).  This is the reference
+        definition: sanitized and traced sends call it per hop, and
+        :meth:`MeshNetwork._send`'s unsanitized hop loop inlines it.
         """
         start = self.busy_until
         if arrival >= start:
@@ -100,13 +102,6 @@ class Link:
         if is_translation:
             self.translation_bytes += size_bytes
         return start + self.latency
-
-    def utilization(self, now: int) -> float:
-        """Fraction of cycles spent serialising, as a load proxy."""
-        if now <= 0:
-            return 0.0
-        busy = self.messages_carried  # ~1 cycle serialisation per message
-        return min(1.0, busy / now)
 
     def busy_fraction(self, now: int) -> float:
         """Exact fraction of elapsed cycles the link spent serialising."""

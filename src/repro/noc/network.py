@@ -93,17 +93,19 @@ class MeshNetwork(Component):
         self.link_latency = link_latency
         self.link_bytes_per_cycle = bytes_per_cycle(link_bandwidth_bytes_per_sec)
         self._links: Dict[Tuple[Coordinate, Coordinate], Link] = {}
-        #: No-fault route cache: (src, dst) -> (resolved [(hop_key, Link)],
-        #: links-only list for the unpacking-free transmit loop).  Safe
-        #: because topology and XY routes are static and fail-slow factors
-        #: mutate the cached Link objects in place; fault runs (detours,
-        #: dead links) bypass the cache entirely.
+        #: The one route cache: (src, dst) -> (links, hop_keys,
+        #: extra_hops, epoch).  Topology and XY routes are static and
+        #: fail-slow factors mutate the cached Link objects in place, so a
+        #: no-fault entry never goes stale.  Under a fault plan each entry
+        #: is tagged with the ``faults.topology_epoch`` it was computed at
+        #: and recomputed on the first send after the epoch moves — tagged
+        #: rather than flushed, so no send callback writes an attribute
+        #: the race sanitizer would see.  ``hop_keys`` are cached beside
+        #: the links so the sanitized/traced loop never reads ``Link.src``
+        #: (links are created lazily, possibly in the same cycle).
         self._route_cache: Dict[
             Tuple[Coordinate, Coordinate],
-            Tuple[
-                List[Tuple[Tuple[Coordinate, Coordinate], Link]],
-                List[Link],
-            ],
+            Tuple[List[Link], List[Tuple[Coordinate, Coordinate]], int, int],
         ] = {}
         self._handlers: Dict[Coordinate, DeliveryFn] = {}
         self.messages_sent = 0
@@ -132,6 +134,18 @@ class MeshNetwork(Component):
             link = Link(src, dst, self.link_latency, self.link_bytes_per_cycle)
             self._links[key] = link
         return link
+
+    def _cache_route(
+        self,
+        route_key: Tuple[Coordinate, Coordinate],
+        hops: List[Tuple[Coordinate, Coordinate]],
+        extra_hops: int,
+        epoch: int,
+    ) -> Tuple[List[Link], List[Tuple[Coordinate, Coordinate]], int, int]:
+        """Resolve ``hops`` to links and cache the route under ``epoch``."""
+        entry = ([self._link(a, b) for a, b in hops], hops, extra_hops, epoch)
+        self._route_cache[route_key] = entry
+        return entry
 
     def set_link_bandwidth_factor(
         self, a: Coordinate, b: Coordinate, factor: float
@@ -220,8 +234,14 @@ class MeshNetwork(Component):
         if src != dst:
             size_bytes = message.size_bytes
             is_translation = kind in TRANSLATION_KINDS
+            route_key = (src, dst)
+            cached = self._route_cache.get(route_key)
             if faults is not None:
-                hops, extra_hops = faults.route(src, dst)
+                epoch = faults.topology_epoch
+                if cached is None or cached[3] != epoch:
+                    hops, extra_hops = faults.route(src, dst)
+                    cached = self._cache_route(route_key, hops, extra_hops, epoch)
+                links, hop_keys, extra_hops, _epoch = cached
                 if extra_hops:
                     faults.bump("rerouted_messages")
                     faults.bump("rerouted_hops", extra_hops)
@@ -231,32 +251,44 @@ class MeshNetwork(Component):
                 # the requester-side timeout/retry machinery.
                 if is_translation and not dead_letter:
                     verdict = faults.transient_verdict()
-                route = [((a, b), self._link(a, b)) for a, b in hops]
-                links = None
             else:
-                route_key = (src, dst)
-                cached = self._route_cache.get(route_key)
                 if cached is None:
-                    route = [
-                        ((a, b), self._link(a, b))
-                        for a, b in route_links(src, dst)
-                    ]
-                    links = [link for _key, link in route]
-                    self._route_cache[route_key] = (route, links)
-                else:
-                    route, links = cached
-            num_hops = len(route)
+                    cached = self._cache_route(
+                        route_key, route_links(src, dst), 0, 0
+                    )
+                links, hop_keys, _extra, _epoch = cached
+            num_hops = len(links)
             self.messages_routed += 1
             self.total_hops += num_hops
             self.link_bytes_by_kind[kind] += size_bytes * num_hops
-            if self._tracer is not None:
-                hop_times = []
             conservation = self._conservation
-            if links is not None and conservation is None and hop_times is None:
+            if conservation is None and self._tracer is None:
+                # Link.transmit inlined (bit-identical — the cross-check
+                # in tests/test_noc_network.py replays one sequence
+                # through both paths): the per-hop method call was the
+                # largest single cost of a send.  A serialisation-cache
+                # miss defers to transmit, which fills the cache.
                 for link in links:
-                    arrival = link.transmit(arrival, size_bytes, is_translation)
+                    serialization = link._ser_cache.get(size_bytes)
+                    if serialization is None:
+                        arrival = link.transmit(arrival, size_bytes, is_translation)
+                        continue
+                    start = link.busy_until
+                    if arrival >= start:
+                        start = arrival
+                    else:
+                        link.total_wait_cycles += start - arrival
+                    link.busy_until = start + serialization
+                    link.busy_cycles += serialization
+                    link.bytes_carried += size_bytes
+                    link.messages_carried += 1
+                    if is_translation:
+                        link.translation_bytes += size_bytes
+                    arrival = start + link.latency
             else:
-                for hop_key, link in route:
+                if self._tracer is not None:
+                    hop_times = []
+                for hop_key, link in zip(hop_keys, links):
                     arrival = link.transmit(arrival, size_bytes, is_translation)
                     if conservation is not None:
                         conservation.on_hop(

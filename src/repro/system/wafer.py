@@ -8,6 +8,8 @@ load / run lifecycle the benchmark runner drives.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config.system import SystemConfig
@@ -190,14 +192,22 @@ class WaferScaleGPU:
 
         Pages owned by a fault-disabled GPM are remapped to a surviving
         one (deterministically, by id) before installation — the modelled
-        runtime reassigns a dead module's memory at boot.
+        runtime reassigns a dead module's memory at boot.  Installs in
+        bulk: one global page-table batch, then one batch per run of
+        pages with the same owner.  A VPN that is already mapped raises
+        :class:`~repro.errors.AddressError` before anything is mapped.
         """
-        for entry in entries:
-            if self.faults is not None and not self.faults.gpm_alive(entry.owner_gpm):
-                entry.owner_gpm = self.faults.remap_owner(entry.owner_gpm)
-                self.faults.bump("remapped_pages")
-            self.iommu.page_table.insert(entry)
-            self.gpms[entry.owner_gpm].hierarchy.install_local_page(entry)
+        self.iommu.page_table.insert_many(entries)
+        faults = self.faults
+        if faults is not None:
+            for entry in entries:
+                if not faults.gpm_alive(entry.owner_gpm):
+                    entry.owner_gpm = faults.remap_owner(entry.owner_gpm)
+                    faults.bump("remapped_pages")
+        # The driver lays pages out in per-GPM runs.  A GPM's pages reach
+        # it in entry order whether installed in one group or several.
+        for owner, run in groupby(entries, key=attrgetter("owner_gpm")):
+            self.gpms[owner].hierarchy.install_local_pages(list(run))
 
     # ------------------------------------------------------------------
     # Execution

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from time import perf_counter  # lint: allow-wallclock (phase attribution only)
-from typing import Optional
+from typing import List, Optional
 
 from repro.config.gpm import GPMConfig
 from repro.obs.phases import PHASE_TLB
@@ -109,6 +109,11 @@ class TranslationHierarchy:
         """Register a locally resident page: page table + filter."""
         self.page_table.insert(entry)
         self.cuckoo.insert(entry.vpn)
+
+    def install_local_pages(self, entries: List[PageTableEntry]) -> None:
+        """:meth:`install_local_page` for a batch, in bulk."""
+        self.page_table.insert_many(entries)
+        self.cuckoo.insert_many([entry.vpn for entry in entries])
 
     # ------------------------------------------------------------------
     # CU-side probe (synchronous part of a translation)

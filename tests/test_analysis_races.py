@@ -20,8 +20,10 @@ from repro.analysis.sanitizers import (
     RaceSanitizer,
     result_digest,
 )
+from repro.config.presets import wafer_7x7_config
 from repro.config.system import SystemConfig
 from repro.errors import OrderRaceError, SanitizerError, SimulationError
+from repro.faults import FaultPlan, recovery_scenario
 from repro.obs import Observability
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -359,6 +361,28 @@ class TestEndToEnd:
         assert races["findings"] == []
         assert races["cycles_checked"] > 0
         assert races["accesses_recorded"] > 0
+
+    def test_recovery_timeline_clean_and_digest_unchanged(self):
+        # CI's recovery-timeline race plan, at a tier-1 scale: timeline
+        # events mutate the topology mid-run while sends are in flight,
+        # so per-send route caching must not write state those events
+        # race with.
+        plan = FaultPlan(seed=9, timeline=recovery_scenario(
+            7, 7, seed=9, kill_cycle=4000, recover_cycle=9000,
+            drain_cycle=2000, degrade_cycle=1000, restore_cycle=8000,
+            num_victims=2,
+        ))
+        config = wafer_7x7_config().with_faults(plan)
+        plain = run_benchmark(config, "spmv", scale=0.02, seed=3)
+        raced = run_benchmark(
+            config, "spmv", scale=0.02, seed=3, sanitize="races"
+        )
+        assert result_digest(plain.to_dict()) == result_digest(raced.to_dict())
+        counters = raced.extras["faults"]["counters"]
+        assert counters["timeline.kills"] == counters["timeline.recoveries"] == 2
+        races = raced.extras["sanitizers"]["races"]
+        assert races["findings"] == []
+        assert races["cycles_checked"] > 0
 
     def test_phase_row_attributes_race_overhead(self):
         obs = Observability(phases=True)

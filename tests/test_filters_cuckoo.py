@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import CuckooFilter, _hash_triple
 from repro.filters.fingerprint import fingerprint_of, mix64
 
 
@@ -140,3 +140,69 @@ class TestCuckooFilterProperties:
         index1 = filt._index1(item)
         index2 = filt._alt_index(index1, fingerprint)
         assert filt._alt_index(index2, fingerprint) == index1
+
+    @given(
+        st.integers(min_value=0, max_value=2**48),
+        st.integers(min_value=1, max_value=32),
+        st.integers(min_value=1, max_value=4096),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inlined_hash_matches_helpers(self, item, bits, capacity):
+        """``_hash_triple`` (used by insert/contains/insert_many) inlines
+        fingerprint_of, _index1 and _alt_index bit for bit."""
+        filt = CuckooFilter(capacity=capacity, fingerprint_bits=bits)
+        fingerprint = fingerprint_of(item, bits)
+        index1 = filt._index1(item)
+        assert _hash_triple(item, filt._fp_mask, filt._index_mask) == (
+            fingerprint, index1, filt._alt_index(index1, fingerprint)
+        )
+
+
+def _filter_state(filt):
+    return (
+        filt._buckets, filt.size, filt.insert_failures, filt._rng.getstate()
+    )
+
+
+class TestInsertMany:
+    """Bulk insertion must leave exactly the state repeated ``insert``
+    leaves, kick-out random stream included."""
+
+    @pytest.mark.parametrize("capacity, slots, max_kicks, count", [
+        (1024, 4, 500, 700),   # roomy: no kick-outs
+        (64, 4, 500, 64),      # full load: kick-outs that succeed
+        (8, 2, 16, 200),       # over-full: kick-outs and failures
+    ])
+    def test_matches_repeated_insert(self, capacity, slots, max_kicks, count):
+        items = [item * 7919 + 3 for item in range(count)]
+        one = CuckooFilter(capacity, slots_per_bucket=slots, max_kicks=max_kicks)
+        for item in items:
+            one.insert(item)
+        bulk = CuckooFilter(capacity, slots_per_bucket=slots, max_kicks=max_kicks)
+        bulk.insert_many(items)
+        assert _filter_state(bulk) == _filter_state(one)
+        if capacity == 8:
+            assert bulk.insert_failures > 0
+
+    def test_extends_a_populated_filter(self):
+        one = CuckooFilter(64, slots_per_bucket=4)
+        bulk = CuckooFilter(64, slots_per_bucket=4)
+        for filt in (one, bulk):
+            for item in range(30):
+                filt.insert(item)
+        for item in range(30, 80):
+            one.insert(item)
+        bulk.insert_many(range(30, 80))
+        assert _filter_state(bulk) == _filter_state(one)
+
+    def test_does_not_fill_the_hash_memo(self):
+        filt = CuckooFilter(capacity=1024)
+        filt.insert_many(range(100))
+        assert not filt._hash_cache
+        assert all(item in filt for item in range(100))
+
+    def test_invalid_fingerprint_width_rejected(self):
+        with pytest.raises(ValueError):
+            CuckooFilter(capacity=8, fingerprint_bits=0)
+        with pytest.raises(ValueError):
+            CuckooFilter(capacity=8, fingerprint_bits=33)

@@ -99,6 +99,33 @@ class TestPageTables:
         with pytest.raises(AddressError):
             table.insert(PageTableEntry(vpn=1, pfn=0, owner_gpm=5))
 
+    def test_insert_many_maps_a_batch(self):
+        table = GlobalPageTable()
+        table.insert_many(
+            [PageTableEntry(vpn=vpn, pfn=vpn, owner_gpm=0) for vpn in (3, 4)]
+        )
+        assert [e.vpn for e in table] == [3, 4]
+
+    @pytest.mark.parametrize("batch_vpns", [(5, 9), (5, 6, 5)])
+    def test_insert_many_duplicate_maps_nothing(self, batch_vpns):
+        # An already-mapped VPN (9) or one repeated inside the batch (5).
+        table = GlobalPageTable()
+        table.insert(PageTableEntry(vpn=9, pfn=1, owner_gpm=0))
+        batch = [PageTableEntry(vpn=v, pfn=v, owner_gpm=0) for v in batch_vpns]
+        with pytest.raises(AddressError, match="already mapped"):
+            table.insert_many(batch)
+        assert [e.vpn for e in table] == [9]
+
+    def test_local_insert_many_enforces_ownership(self):
+        table = LocalPageTable(gpm_id=2)
+        batch = [
+            PageTableEntry(vpn=1, pfn=0, owner_gpm=2),
+            PageTableEntry(vpn=2, pfn=1, owner_gpm=5),
+        ]
+        with pytest.raises(AddressError, match="owned by GPM 5"):
+            table.insert_many(batch)
+        assert len(table) == 0
+
     def test_walk_depth_is_five_levels(self):
         assert GlobalPageTable().walk_depth(123) == WALK_LEVELS == 5
 

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import RoutingError
+from repro.faults import FaultPlan, FaultState
 from repro.noc.messages import Message, MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -164,3 +166,94 @@ class TestTrafficReport:
         report = network.traffic_report()
         assert report["total"]["link_bytes"] == 0
         assert report["translation_req"]["messages"] == 1
+
+
+class TestInlinedHopLoop:
+    """The unsanitized send path inlines ``Link.transmit``; a
+    ``sanitize=True`` network takes the reference ``transmit`` path.  One
+    message sequence through both must agree cycle for cycle."""
+
+    DEAD = ((0, 0), (1, 0))
+    SLOW = ((1, 1), (2, 1))
+    DATA = MessageKind.DATA_RESP
+    XLAT = MessageKind.TRANSLATION_REQ
+    #: cycle -> sends ``(src, dst, size, kind)``: mixed sizes, repeated
+    #: routes contending for the fail-slow link, and detours around the
+    #: dead one.
+    SENDS = {
+        0: [
+            ((0, 0), (3, 0), 64, DATA),
+            ((0, 0), (2, 0), 16, XLAT),
+            ((0, 1), (3, 1), 80, DATA),
+            ((1, 1), (3, 1), 16, XLAT),
+            ((0, 1), (3, 1), 64, DATA),
+            ((3, 3), (0, 0), 8, XLAT),
+        ],
+        5: [
+            ((0, 1), (3, 1), 16, XLAT),
+            ((0, 0), (3, 0), 80, DATA),
+            ((1, 1), (3, 1), 80, DATA),
+            ((2, 2), (2, 2), 16, XLAT),
+        ],
+        # The dead link is restored at cycle 20 and the slow link healed
+        # at cycle 30 (see _replay): later sends take the XY route at
+        # full bandwidth while earlier traffic still occupies the links.
+        20: [
+            ((0, 0), (3, 0), 64, DATA),
+            ((0, 0), (2, 0), 16, XLAT),
+            ((1, 1), (3, 1), 80, DATA),
+        ],
+        30: [
+            ((0, 1), (3, 1), 80, DATA),
+            ((1, 1), (3, 1), 16, XLAT),
+            ((3, 0), (0, 0), 64, DATA),
+        ],
+    }
+
+    def _replay(self, sanitize):
+        sim = Simulator(sanitize=sanitize)
+        topology = MeshTopology(4, 4)
+        faults = FaultState(FaultPlan(dead_links=(self.DEAD,)), topology)
+        network = MeshNetwork(
+            sim, topology, link_latency=10,
+            link_bandwidth_bytes_per_sec=8e9, faults=faults,
+        )
+        assert (network._conservation is not None) == sanitize
+        network.set_link_bandwidth_factor(*self.SLOW, 0.25)
+        arrivals = []
+        delivered = []
+
+        def send_all(cycle):
+            for src, dst, size, kind in self.SENDS[cycle]:
+                message = Message(kind, src, dst, None, size_bytes=size)
+                arrivals.append(network.send(
+                    message,
+                    lambda m: delivered.append((sim.now, m.src, m.dst)),
+                ))
+
+        def restore():
+            faults.restore_link(self.DEAD)
+            send_all(20)
+
+        def heal():
+            network.set_link_bandwidth_factor(*self.SLOW, 1.0)
+            send_all(30)
+
+        sim.schedule_at(0, lambda: send_all(0))
+        sim.schedule_at(5, lambda: send_all(5))
+        sim.schedule_at(20, restore)
+        sim.schedule_at(30, heal)
+        sim.run()
+        return network, faults, arrivals, delivered
+
+    def test_inlined_loop_matches_transmit_path(self):
+        plain, plain_faults, arrivals, delivered = self._replay(False)
+        ref, ref_faults, ref_arrivals, ref_delivered = self._replay(True)
+        assert arrivals == ref_arrivals
+        assert delivered == ref_delivered
+        assert plain.link_report() == ref.link_report()
+        assert plain_faults.counters == ref_faults.counters
+        # The sequence exercised what it claims to.
+        assert plain_faults.counters["rerouted_messages"] == 3
+        assert plain.link_wait_cycles() > 0
+        assert len(delivered) == sum(map(len, self.SENDS.values()))

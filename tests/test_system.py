@@ -9,7 +9,9 @@ from repro.core.overhead import (
     sram_overhead,
 )
 from repro.core.request import ServedBy, TranslationRequest
-from repro.errors import ConfigurationError
+from repro.errors import AddressError, ConfigurationError
+from repro.mem.allocator import PageAllocator
+from repro.mem.page import PageTableEntry
 from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
 
@@ -46,6 +48,43 @@ class TestWaferAssembly:
     def test_execution_cycles_before_run(self, small_system_config):
         wafer = WaferScaleGPU(small_system_config)
         assert wafer.execution_cycles() == 0
+
+
+class TestInstallEntries:
+    def _installed(self, wafer):
+        return (
+            sorted(e.vpn for e in wafer.iommu.page_table),
+            [sorted(e.vpn for e in g.hierarchy.page_table) for g in wafer.gpms],
+            [len(g.hierarchy.cuckoo) for g in wafer.gpms],
+        )
+
+    def test_pages_land_with_their_owners(self, small_system_config):
+        wafer = WaferScaleGPU(small_system_config)
+        allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
+        allocation = allocator.allocate_pages(20)
+        wafer.install_entries(allocator.materialize(allocation))
+        vpns, local, filtered = self._installed(wafer)
+        assert vpns == list(allocation.vpns())
+        for gpm in wafer.gpms:
+            owned = [
+                vpn for vpn in allocation.vpns()
+                if allocation.owner_of[vpn] == gpm.gpm_id
+            ]
+            assert local[gpm.gpm_id] == owned
+            assert filtered[gpm.gpm_id] == len(owned)
+            assert all(gpm.hierarchy.cuckoo.contains(vpn) for vpn in owned)
+
+    def test_already_mapped_vpn_maps_nothing(self, small_system_config):
+        wafer = WaferScaleGPU(small_system_config)
+        allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
+        allocation = allocator.allocate_pages(16)
+        wafer.install_entries(allocator.materialize(allocation))
+        before = self._installed(wafer)
+        fresh = PageTableEntry(vpn=allocation.end_vpn, pfn=99, owner_gpm=1)
+        mapped = PageTableEntry(vpn=allocation.base_vpn, pfn=98, owner_gpm=1)
+        with pytest.raises(AddressError, match="already mapped"):
+            wafer.install_entries([fresh, mapped])
+        assert self._installed(wafer) == before
 
 
 class TestRequestRecord:
